@@ -61,11 +61,8 @@ GATED_OPS_SUFFIXES = (
     "to_static_graph",
     "iter_contacts",
     "bulk_timestamps_table",
-    "bulk_timestamps_numpy",
     "bulk_residuals_table",
-    "bulk_residuals_numpy",
     "bulk_pairs_table",
-    "bulk_pairs_numpy",
 )
 
 
@@ -159,16 +156,14 @@ def _bench_bitwriter_extend(quick: bool) -> Callable[[], object]:
 def _bench_bulk_decode(
     results: Dict[str, Dict[str, float]], quick: bool, iters: int
 ) -> None:
-    """Per-tier bulk decode of realistic gap streams (ISSUE 7 scenarios).
+    """Bulk decode of realistic gap streams on the table tier.
 
     Streams mimic the two dominant whole-record runs: timestamp gaps
     (zeta_2 naturals, power-law-distributed small gaps) and structure
     residual gaps (zeta_3), plus the interval-graph (gap, duration)
-    interleaved pair run.  Each scenario is decoded once per tier first
-    and the answers asserted element-identical -- the tier ladder's
-    "identical answers, different speed" contract -- then timed under the
-    forced ``table`` and ``numpy`` tiers.  numpy scenarios are skipped
-    (not failed) when numpy is not installed; the gate ignores absent ops.
+    interleaved pair run.  Each scenario is decoded once on the scalar
+    reference tier and once on the table tier and the answers asserted
+    element-identical, then timed under the forced ``table`` tier.
     """
     rng = random.Random(77)
     n = 2048 if quick else 8192
@@ -201,23 +196,17 @@ def _bench_bulk_decode(
             BitReader(pair_data, pair_bits), n, 3, 2
         ),
     }
-    timed_tiers = ["table"] + (["numpy"] if kernels.numpy_available() else [])
     previous = kernels.get_kernel()
     try:
         for name, op in scenarios.items():
-            reference = None
-            for tier in ["scalar"] + timed_tiers:
-                kernels.set_kernel(tier)
-                answer = op()
-                if reference is None:
-                    reference = answer
-                elif answer != reference:
-                    raise AssertionError(
-                        f"{name}: {tier} tier answers diverge from scalar"
-                    )
-            for tier in timed_tiers:
-                kernels.set_kernel(tier)
-                results[f"micro/{name}_{tier}"] = _time_op(op, iters, 1)
+            kernels.set_kernel(kernels.TIER_SCALAR)
+            reference = op()
+            kernels.set_kernel(kernels.TIER_TABLE)
+            if op() != reference:
+                raise AssertionError(
+                    f"{name}: table tier answers diverge from scalar"
+                )
+            results[f"micro/{name}_table"] = _time_op(op, iters, 1)
     finally:
         kernels.set_kernel(previous)
 
@@ -324,20 +313,6 @@ def measure_load_rss(quick: bool) -> Dict[str, object]:
     }
 
 
-def kernel_speedups(ops: Dict[str, Dict[str, float]]) -> Dict[str, float]:
-    """numpy-vs-table ratio per bulk scenario present in ``ops``."""
-    speedups = {}
-    for op, stats in ops.items():
-        if not op.endswith("_table"):
-            continue
-        fast = ops.get(op[: -len("_table")] + "_numpy")
-        if fast and fast["min_us"] > 0:
-            speedups[op[len("micro/") :].rsplit("_", 1)[0]] = round(
-                stats["min_us"] / fast["min_us"], 2
-            )
-    return speedups
-
-
 def run_benchmarks(quick: bool) -> Dict[str, object]:
     rng = random.Random(42)
     iters = 5 if quick else 7
@@ -422,7 +397,6 @@ def run_benchmarks(quick: bool) -> Dict[str, object]:
         "python": platform.python_version(),
         "calibration_us": _calibrate(),
         "kernel_info": kernels.kernel_info(),
-        "kernel_speedup": kernel_speedups(results),
         "load_rss": measure_load_rss(quick),
         "ops": results,
     }
@@ -521,7 +495,6 @@ def merge_with_baseline(
             baseline, bool(current["quick"])
         ),
         "kernel_info": current.get("kernel_info"),
-        "kernel_speedup": current.get("kernel_speedup"),
         "load_rss": current.get("load_rss"),
         "before": before,
         "after": after,
@@ -555,10 +528,6 @@ def main(argv: List[str] | None = None) -> int:
     current = run_benchmarks(args.quick)
     print(_fmt_table(current["ops"]))
     print(f"calibration: {current['calibration_us']:.1f}us")
-    if current["kernel_speedup"]:
-        print("bulk decode, numpy tier vs table tier:")
-        for name, ratio in sorted(current["kernel_speedup"].items()):
-            print(f"  {name:<24} {ratio:.2f}x")
     rss = current.get("load_rss")
     if rss:
         print(

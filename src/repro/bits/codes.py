@@ -16,7 +16,7 @@ without materialising them (e.g. reference selection and the Figure 7 sweep).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.bits import kernels
 from repro.bits.bitio import BitReader, BitWriter
@@ -632,34 +632,11 @@ def decode_simple16(reader: BitReader, count: int) -> List[int]:
 # Decode whole runs of codes with the reader state held in locals; the
 # per-record decoders (structure, timestamps) are built on these.  Each
 # returns exactly ``count`` values or raises the same exceptions as its
-# scalar counterpart mid-run.  The actual kernel is chosen per run by the
-# planner in :mod:`repro.bits.kernels`: numpy-vectorised decoding
-# (:mod:`repro.bits.vectorized`) for long runs when numpy is available,
-# the inlined 16-bit table loop otherwise, with a per-code scalar tier for
-# differential testing.  All tiers are byte-exact mirrors of one another.
+# scalar counterpart mid-run.  The kernel tier is the process-wide
+# choice in :mod:`repro.bits.kernels`: the inlined 16-bit table loop in
+# production, or a per-code scalar loop as the reference for differential
+# testing.  The two tiers are byte-exact mirrors of one another.
 # --------------------------------------------------------------------------
-
-_VEC_CHECKED = False
-_VEC_MODULE: Optional[Any] = None
-
-
-def _vectorized_kernel() -> Optional[Any]:
-    """The numpy-tier module, imported lazily; ``None`` when unusable.
-
-    The planner only reports the numpy tier after probing numpy itself,
-    but the vectorized module is still imported defensively so a broken
-    numpy installation degrades to the table kernel instead of raising.
-    """
-    global _VEC_CHECKED, _VEC_MODULE
-    if not _VEC_CHECKED:
-        try:
-            from repro.bits import vectorized
-        except ImportError:
-            _VEC_MODULE = None
-        else:
-            _VEC_MODULE = vectorized
-        _VEC_CHECKED = True
-    return _VEC_MODULE
 
 
 def _check_count(count: int) -> None:
@@ -676,11 +653,10 @@ def _decode_run(
     slow: Callable[[BitReader], int],
     delta: int = 0,
 ) -> List[int]:
-    """Decode ``count`` codes of one family on the planned kernel tier.
+    """Decode ``count`` codes of one family on the selected kernel tier.
 
     ``delta`` is added to every decoded value (``-1`` for the ``*_natural``
-    wrappers) inside the kernel, where the numpy tier can apply it as one
-    array operation.
+    wrappers).
 
     When a query context is active on this thread (see the checkpoint
     hook in :mod:`repro.bits.kernels`), the run is charged against the
@@ -719,21 +695,7 @@ def _decode_run_plain(
     delta: int = 0,
 ) -> List[int]:
     """The uninterruptible kernel dispatch behind :func:`_decode_run`."""
-    tier = kernels.plan(count)
-    if tier == kernels.TIER_NUMPY:
-        vec = _vectorized_kernel()
-        if vec is not None:
-
-            def fallback(r: BitReader, c: int) -> List[int]:
-                raw = _read_many_table(r, c, vals, lens, slow)
-                return [x + delta for x in raw] if delta else raw
-
-            result: List[int] = vec.decode_run(
-                reader, count, vals, lens, slow, delta, fallback
-            )
-            return result
-        tier = kernels.TIER_TABLE
-    if tier == kernels.TIER_SCALAR:
+    if kernels._override == kernels.TIER_SCALAR:
         out: List[int] = []
         for _ in range(count):
             out.append(slow(reader) + delta)
@@ -755,7 +717,7 @@ def _decode_run_pairs(
     slow_b: Callable[[BitReader], int],
     delta: int = 0,
 ) -> Tuple[List[int], List[int]]:
-    """Decode ``count`` interleaved (a, b) pairs on the planned kernel tier.
+    """Decode ``count`` interleaved (a, b) pairs on the selected kernel tier.
 
     Chunks against an active query context exactly like
     :func:`_decode_run` (pairs count as two work units each).
@@ -802,32 +764,7 @@ def _decode_run_pairs_plain(
     delta: int = 0,
 ) -> Tuple[List[int], List[int]]:
     """The uninterruptible kernel dispatch behind :func:`_decode_run_pairs`."""
-    tier = kernels.plan(count)
-    if tier == kernels.TIER_NUMPY:
-        vec = _vectorized_kernel()
-        if vec is not None:
-
-            def fallback(r: BitReader, c: int) -> Tuple[List[int], List[int]]:
-                raw_a, raw_b = _read_many_table_pairs(
-                    r, c, vals_a, lens_a, slow_a, vals_b, lens_b, slow_b
-                )
-                if delta:
-                    return (
-                        [x + delta for x in raw_a],
-                        [x + delta for x in raw_b],
-                    )
-                return raw_a, raw_b
-
-            pair: Tuple[List[int], List[int]] = vec.decode_run_pairs(
-                reader, count,
-                vals_a, lens_a, slow_a,
-                vals_b, lens_b, slow_b,
-                delta,
-                fallback,
-            )
-            return pair
-        tier = kernels.TIER_TABLE
-    if tier == kernels.TIER_SCALAR:
+    if kernels._override == kernels.TIER_SCALAR:
         out_a: List[int] = []
         out_b: List[int] = []
         for _ in range(count):

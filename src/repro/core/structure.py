@@ -28,7 +28,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.bits import codes
 from repro.bits.bitio import BitReader, BitWriter
 from repro.bits.zigzag import to_integer
-from repro.core import bulkops
 from repro.core.config import ChronoGraphConfig
 from repro.errors import LimitExceededError
 
@@ -366,17 +365,13 @@ def decode_node_structure(
         raw = codes.read_many_zeta_natural(
             reader, extra_count, config.structure_zeta_k
         )
-        unfolded = bulkops.prefix_labels(raw, node, to_integer(raw[0]))
-        if unfolded is not None:
-            extras = unfolded
-        else:
-            label = node + to_integer(raw[0])
+        label = node + to_integer(raw[0])
+        extras.append(label)
+        prev = label
+        for gap in raw[1:]:
+            label = prev + gap + 1
             extras.append(label)
             prev = label
-            for gap in raw[1:]:
-                label = prev + gap + 1
-                extras.append(label)
-                prev = label
 
     singles = sorted(copied + intervals + extras)
     return dedup, singles

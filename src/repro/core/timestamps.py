@@ -20,7 +20,6 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.bits import codes
 from repro.bits.bitio import BitReader, BitWriter
-from repro.core import bulkops
 from repro.errors import GraphDomainError
 
 
@@ -91,15 +90,13 @@ def decode_node_timestamps(
     else:
         raw = codes.read_many_zeta_natural(reader, count, zeta_k)
         durations = None
-    timestamps = bulkops.unfold_timestamps(raw, t_min)
-    if timestamps is None:
-        t = t_min + raw[0]
-        timestamps = [t]
-        append = timestamps.append
-        for gap in raw[1:]:
-            # Inlined Eq. (1) unfolding (repro.bits.zigzag.to_integer).
-            t += (gap >> 1) if not gap & 1 else -((gap + 1) >> 1)
-            append(t)
+    t = t_min + raw[0]
+    timestamps = [t]
+    append = timestamps.append
+    for gap in raw[1:]:
+        # Inlined Eq. (1) unfolding (repro.bits.zigzag.to_integer).
+        t += (gap >> 1) if not gap & 1 else -((gap + 1) >> 1)
+        append(t)
     return timestamps, durations
 
 

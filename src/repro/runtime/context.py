@@ -7,11 +7,11 @@ paths.  Every :class:`repro.core.compressed.CompressedChronoGraph` and
 :class:`repro.storage.segments.SegmentedChronoGraph` query entry point
 accepts ``ctx=``; inside, the context is *activated* (installed in a
 thread-local) so that even the innermost bulk-decode loops in
-:mod:`repro.bits.codes` / :mod:`repro.bits.vectorized` -- which cannot
-take parameters without breaking their byte-exact signatures -- can poll
-it through the :data:`repro.bits.kernels.CheckpointHook` this module
-registers while any context is active (and removes when the last one
-deactivates, so un-governed queries pay nothing for the machinery).
+:mod:`repro.bits.codes` -- which cannot take parameters without breaking
+their byte-exact signatures -- can poll it through the
+:data:`repro.bits.kernels.CheckpointHook` this module registers while any
+context is active (and removes when the last one deactivates, so
+un-governed queries pay nothing for the machinery).
 
 Checkpoints raise the typed interruption branch of the taxonomy
 (:class:`repro.errors.QueryTimeout`, :class:`repro.errors.QueryCancelled`,

@@ -21,10 +21,15 @@ from __future__ import annotations
 import socket
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import DomainError
+from repro.errors import DomainError, QueryTimeout
 from repro.service.protocol import ProtocolError, recv_message, send_message
 
 __all__ = ["ServiceClient", "ServiceError"]
+
+#: Slack on top of a request's ``timeout_ms`` before the client gives up
+#: on a response: covers the network and the worker's scheduling, so the
+#: server's own typed ``QueryTimeout`` frame normally arrives first.
+_READ_MARGIN_S = 2.0
 
 
 class ServiceError(RuntimeError):
@@ -48,7 +53,13 @@ class ServiceError(RuntimeError):
 
 
 class ServiceClient:
-    """One connection to a running :class:`repro.service.GraphService`."""
+    """One connection to a running :class:`repro.service.GraphService`.
+
+    Every read has a deadline: ``timeout_ms`` plus a fixed margin when
+    ``timeout_ms`` is set, else ``connect_timeout``.  A server that does
+    not answer in time gets the connection closed and the call raises
+    :class:`repro.errors.QueryTimeout`.
+    """
 
     def __init__(
         self,
@@ -67,8 +78,12 @@ class ServiceClient:
         #: markers); empty for a complete answer.
         self.last_skipped: List[Dict[str, Any]] = []
         self._next_id = 0
+        if timeout_ms is None:
+            self._read_timeout = connect_timeout
+        else:
+            self._read_timeout = max(timeout_ms, 0) / 1000.0 + _READ_MARGIN_S
         self._sock = socket.create_connection((host, port), timeout=connect_timeout)
-        self._sock.settimeout(None)
+        self._sock.settimeout(self._read_timeout)
 
     @classmethod
     def from_url(cls, url: str, **kwargs: Any) -> "ServiceClient":
@@ -94,8 +109,15 @@ class ServiceClient:
             request["timeout_ms"] = self.timeout_ms
         if self.allow_partial:
             request["allow_partial"] = True
-        send_message(self._sock, request)
-        response = recv_message(self._sock)
+        try:
+            send_message(self._sock, request)
+            response = recv_message(self._sock)
+        except socket.timeout:
+            self.close()
+            raise QueryTimeout(
+                f"no response from the server within {self._read_timeout:g} s",
+                budget=self._read_timeout,
+            ) from None
         if response is None:
             raise ProtocolError("server closed the connection mid-request")
         if response.get("id") not in (self._next_id, None):

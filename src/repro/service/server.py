@@ -82,9 +82,12 @@ def open_query_target(path: str, *, mmap: bool = True):
 
 # -- request handling (runs inside a worker) --------------------------------
 
-def _int_list(values: Any, what: str) -> List[int]:
-    if not isinstance(values, list):
-        raise ProtocolError(f"{what} must be a list")
+def _int_list(values: Any, what: str, arity: int) -> List[int]:
+    """``values`` as exactly ``arity`` integers, else :class:`ProtocolError`."""
+    if not isinstance(values, list) or len(values) != arity:
+        raise ProtocolError(f"{what} must be a list of {arity} integers")
+    if any(isinstance(v, bool) for v in values):
+        raise ProtocolError(f"{what} must hold integers, not booleans")
     try:
         return [int(v) for v in values]
     except (TypeError, ValueError):
@@ -116,25 +119,22 @@ def _build_context(
 
 def _dispatch(graph, op: str, params: Dict[str, Any], ctx: QueryContext):
     if op == "neighbors":
-        u, t1, t2 = _int_list(params.get("args"), "args")
+        u, t1, t2 = _int_list(params.get("args"), "args", 3)
         return graph.neighbors(u, t1, t2, ctx=ctx)
     if op == "neighbors_many":
         queries = params.get("queries")
         if not isinstance(queries, list):
             raise ProtocolError("queries must be a list of [u, t1, t2]")
-        triples = [tuple(_int_list(q, "query")) for q in queries]
-        for t in triples:
-            if len(t) != 3:
-                raise ProtocolError("each query must be [u, t1, t2]")
+        triples = [tuple(_int_list(q, "query", 3)) for q in queries]
         return graph.neighbors_many(triples, ctx=ctx)
     if op == "has_edge":
-        u, v, t1, t2 = _int_list(params.get("args"), "args")
+        u, v, t1, t2 = _int_list(params.get("args"), "args", 4)
         return graph.has_edge(u, v, t1, t2, ctx=ctx)
     if op == "snapshot":
-        t1, t2 = _int_list(params.get("args"), "args")
+        t1, t2 = _int_list(params.get("args"), "args", 2)
         return [[u, v] for u, v in graph.snapshot(t1, t2, ctx=ctx)]
     if op == "edge_timestamps":
-        u, v = _int_list(params.get("args"), "args")
+        u, v = _int_list(params.get("args"), "args", 2)
         return graph.edge_timestamps(u, v, ctx=ctx)
     raise ProtocolError(f"unknown op {op!r}")
 

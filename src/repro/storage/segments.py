@@ -550,7 +550,7 @@ class SegmentedChronoGraph:
         """Which bulk-decode kernel tier per-part query merges resolve to.
 
         Mirrors :meth:`CompressedChronoGraph.decode_kernel_info` (the
-        planner is process-wide); surfaced on the view so callers can
+        tier is process-wide); surfaced on the view so callers can
         confirm the tier without reaching into a segment.
         """
         return kernels.kernel_info()
@@ -1284,7 +1284,7 @@ class SegmentStore:
         """Which bulk-decode kernel tier per-part query merges resolve to.
 
         Mirrors :meth:`CompressedChronoGraph.decode_kernel_info` (the
-        planner is process-wide); surfaced here so a segmented deployment
+        tier is process-wide); surfaced here so a segmented deployment
         can confirm its tier without reaching into a part.
         """
         return kernels.kernel_info()

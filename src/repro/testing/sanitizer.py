@@ -254,8 +254,6 @@ class LockSanitizer:
     _DECODE_PATCHES = (
         ("repro.bits.codes", "_decode_run"),
         ("repro.bits.codes", "_decode_run_pairs"),
-        ("repro.bits.vectorized", "decode_run"),
-        ("repro.bits.vectorized", "decode_run_pairs"),
     )
 
     #: os-level filesystem calls patched to report fs-under-lock.

@@ -19,13 +19,12 @@ MODULES = [
     "repro.runtime.breaker",
     "repro.bits", "repro.bits.bitio", "repro.bits.codes", "repro.bits.zigzag",
     "repro.bits.bitvector", "repro.bits.eliasfano", "repro.bits.pfordelta",
-    "repro.bits.kernels", "repro.bits.vectorized",
+    "repro.bits.kernels",
     "repro.graph", "repro.graph.model", "repro.graph.builders",
     "repro.graph.io", "repro.graph.aggregate", "repro.graph.windows",
     "repro.graph.reorder", "repro.graph.stats", "repro.graph.slicing",
     "repro.graph.compose", "repro.graph.degrees",
-    "repro.core", "repro.core.bulkops",
-    "repro.core.config", "repro.core.structure",
+    "repro.core", "repro.core.config", "repro.core.structure",
     "repro.core.timestamps", "repro.core.compressed", "repro.core.encoder",
     "repro.core.serialize", "repro.core.growable", "repro.core.validate",
     "repro.structures", "repro.structures.wavelet",
@@ -65,11 +64,8 @@ MODULES = [
 ]
 
 #: Modules whose import legitimately fails when an optional dependency is
-#: absent (repro.bits.vectorized is the numpy kernel tier; the planner
-#: never imports it without probing numpy first.  repro.interop is the
-#: networkx/numpy bridge).
+#: absent: repro.interop, the networkx/numpy bridge, is the only one.
 OPTIONAL_DEP_MODULES = {
-    "repro.bits.vectorized": "numpy",
     "repro.interop": "networkx/numpy",
 }
 

@@ -4,7 +4,7 @@ Covers the resource-governance layer end to end: the typed interruption
 taxonomy, checkpoint semantics (cancel -> budget -> deadline), ambient
 activation down to the bulk-decode chunk loops, governor admission and
 load shedding, per-part circuit breakers on an injectable clock, and the
-``refresh_from_env`` kernel-planner hook.
+decode checkpoint hook in :mod:`repro.bits.kernels`.
 """
 
 import os
@@ -212,27 +212,6 @@ class TestDecodeInterruption:
             assert kernels.get_checkpoint_hook() is sentinel
         finally:
             kernels.set_checkpoint_hook(None)
-
-
-class TestKernelRefresh:
-    def test_refresh_from_env_rereads_override(self, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_VAR, "scalar")
-        assert kernels.refresh_from_env() == "scalar"
-        assert kernels.kernel_info()["override"] == "scalar"
-        monkeypatch.setenv(kernels.ENV_VAR, "table")
-        # A long-lived process re-reads the env via set_kernel(None).
-        kernels.set_kernel(None)
-        assert kernels.kernel_info()["override"] == "table"
-        monkeypatch.delenv(kernels.ENV_VAR)
-        kernels.set_kernel(None)
-        assert kernels.kernel_info()["override"] == kernels.AUTO
-
-    def test_refresh_rejects_junk(self, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_VAR, "sausage")
-        with pytest.raises(ValueError):
-            kernels.refresh_from_env()
-        monkeypatch.delenv(kernels.ENV_VAR)
-        kernels.refresh_from_env()
 
 
 class TestTokenBucket:

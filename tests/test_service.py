@@ -12,11 +12,13 @@ import random
 import socket
 import struct
 import threading
+import time
 
 import pytest
 
 from repro.core import compress
 from repro.core.serialize import load_compressed, save_compressed
+from repro.errors import QueryTimeout
 from repro.graph.builders import graph_from_contacts
 from repro.graph.model import Contact, GraphKind
 from repro.service import (
@@ -173,6 +175,39 @@ class TestProtocolErrors:
                 client._call("neighbors", {"args": "nope"})
         assert info.value.error_type == "ProtocolError"
 
+    @pytest.mark.parametrize(
+        "op, params",
+        [
+            ("neighbors", {"args": [0, 10]}),
+            ("snapshot", {"args": [0]}),
+            ("has_edge", {"args": [0, 1, 0, 10, 99]}),
+            ("edge_timestamps", {"args": []}),
+            ("neighbors_many", {"queries": [[0, 0, 10], [1, 0]]}),
+            ("neighbors", {"args": [True, 0, 10]}),
+            ("edge_timestamps", {"args": [0, False]}),
+        ],
+        ids=[
+            "neighbors-2-args", "snapshot-1-arg", "has_edge-5-args",
+            "edge_timestamps-0-args", "neighbors_many-short-query",
+            "neighbors-bool-node", "edge_timestamps-bool-node",
+        ],
+    )
+    def test_bad_args_get_error_frame_and_connection_survives(
+        self, service, local, op, params
+    ):
+        host, port = service.address
+        with socket.create_connection((host, port), timeout=10) as raw:
+            send_message(raw, {"id": 1, "op": op, "params": params})
+            response = recv_message(raw)
+            assert response is not None and not response["ok"]
+            assert response["error"]["type"] == "ProtocolError"
+            send_message(
+                raw, {"id": 2, "op": "neighbors", "params": {"args": [0, 0, 500]}}
+            )
+            response = recv_message(raw)
+        assert response["id"] == 2 and response["ok"]
+        assert response["result"] == local.neighbors(0, 0, 500)
+
     def test_negative_timeout_is_rejected(self, service):
         with _client(service, timeout_ms=-5) as client:
             with pytest.raises(ServiceError) as info:
@@ -208,6 +243,28 @@ class TestProtocolErrors:
             send_message(raw, {"id": 941, "op": "ping"})
             response = recv_message(raw)
         assert response["id"] == 941 and response["ok"]
+
+
+class TestClientDeadline:
+    @pytest.mark.parametrize(
+        "kwargs, deadline",
+        [({"connect_timeout": 0.5}, 0.5), ({"timeout_ms": 100}, 2.1)],
+        ids=["connect-timeout", "timeout-ms"],
+    )
+    def test_silent_server_raises_query_timeout(self, kwargs, deadline):
+        with socket.socket() as listener:
+            listener.bind(("127.0.0.1", 0))
+            listener.listen(1)
+            host, port = listener.getsockname()
+            client = ServiceClient(host, port, **kwargs)
+            conn, _ = listener.accept()  # accepted, never answered
+            with conn, client:
+                start = time.monotonic()
+                with pytest.raises(QueryTimeout):
+                    client.ping()
+                elapsed = time.monotonic() - start
+                assert elapsed < 2 * deadline
+                assert client._sock.fileno() == -1  # closed on expiry
 
 
 class TestLifecycle:
